@@ -1,5 +1,5 @@
-//! Kernel microbench — times four matmul arms per shape (naive,
-//! forced-scalar packed, runtime-dispatched SIMD, int8 quantized) plus
+//! Kernel microbench — times three matmul arms per shape (naive,
+//! forced-scalar packed, runtime-dispatched SIMD) plus
 //! the batched CLS-embedding path at 1 thread vs N threads, writes
 //! `BENCH_kernels.json`, and **exits non-zero** when
 //!
@@ -18,7 +18,7 @@ use explainti_core::{build_tokenizer, TaskData};
 use explainti_corpus::{generate_wiki, WikiConfig};
 use explainti_encoder::{EncoderConfig, TransformerEncoder};
 use explainti_nn::simd::{self, SimdTier};
-use explainti_nn::{qmatmul_into, ParamStore, QuantizedMatrix, Tensor};
+use explainti_nn::{ParamStore, Tensor};
 use explainti_pool::ThreadPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -87,13 +87,6 @@ fn main() {
         let (parallel_ms, parallel) = time_ms(5, || a.matmul_in(&b, &pool_n));
         simd::reset_tier();
 
-        // int8 arm: weights quantized once (as serving does), activations
-        // per call.
-        let wt = QuantizedMatrix::from_tensor_transposed(&b);
-        let mut xq = vec![0i8; k.max(1)];
-        let mut qout = vec![0.0f32; m * n];
-        let (quant_ms, ()) = time_ms(5, || qmatmul_into(&a, &wt, None, &mut xq, &mut qout));
-
         if !bits_equal(&serial, &parallel) {
             eprintln!("FAIL: parallel matmul {m}x{k}x{n} diverges from serial");
             failed = true;
@@ -115,16 +108,6 @@ fn main() {
             eprintln!("FAIL: packed matmul drifts from the naive reference by {worst_err}");
             failed = true;
         }
-        let quant_err = qout
-            .iter()
-            .zip(reference.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        // Per-row int8 on K≤256 reductions of [-1,1) values: ~0.05 abs.
-        if quant_err > 0.25 {
-            eprintln!("FAIL: quantized matmul drifts from the reference by {quant_err}");
-            failed = true;
-        }
 
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
         let simd_speedup = scalar_ms / simd_ms;
@@ -140,8 +123,8 @@ fn main() {
         }
         println!(
             "matmul {m}x{k}x{n}:  naive {naive_ms:.2} ms | scalar@1 {scalar_ms:.2} ms | \
-             {}@1 {simd_ms:.2} ms | {}@{par_threads} {parallel_ms:.2} ms | int8 {quant_ms:.2} ms \
-             | simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
+             {}@1 {simd_ms:.2} ms | {}@{par_threads} {parallel_ms:.2} ms | \
+             simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
             tier.name(),
             tier.name()
         );
@@ -153,16 +136,13 @@ fn main() {
             "scalar_serial_ms": scalar_ms,
             "simd_serial_ms": simd_ms,
             "simd_parallel_ms": parallel_ms,
-            "quantized_ms": quant_ms,
             "ns_per_flop_naive": naive_ms * 1e6 / flops,
             "ns_per_flop_scalar": scalar_ms * 1e6 / flops,
             "ns_per_flop_simd": simd_ms * 1e6 / flops,
             "simd_speedup": simd_speedup,
             "simd_speedup_vs_naive": naive_speedup,
-            "quantized_speedup_vs_naive": naive_ms / quant_ms,
             "parallel_speedup": par_speedup,
             "thread_efficiency": par_speedup / par_threads as f64,
-            "quantized_max_abs_err": quant_err,
             "speedup_gated": gated,
         }));
     }

@@ -47,6 +47,17 @@ fn request_bytes(addr: &std::net::SocketAddr, path: &str, body: &[u8]) -> (u16, 
     (status, body)
 }
 
+/// `GET /v1/healthz` status code.
+fn healthz(addr: &std::net::SocketAddr) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0)
+}
+
 #[test]
 fn hostile_inputs_return_400_not_500() {
     let (model, labels) = tiny_model();
@@ -80,6 +91,17 @@ fn hostile_inputs_return_400_not_500() {
     let (status, body) = request_bytes(&addr, "/v1/interpret", huge.as_bytes());
     assert_eq!(status, 400, "10k columns must answer 400: {body}");
     assert!(body.contains("limit"), "error should mention the limit: {body}");
+
+    // 100k unclosed `[` on each JSON route: fits the body limit, and an
+    // unbounded recursive parser would overflow the handler thread's
+    // stack and abort the process.
+    let deep = vec![b'['; 100_000];
+    for path in ["/v1/interpret", "/v1/admin/swap"] {
+        let (status, body) = request_bytes(&addr, path, &deep);
+        assert_eq!(status, 400, "{path}: deep nesting must answer 400: {body}");
+        assert!(body.contains("nesting"), "{path}: error should say why: {body}");
+        assert_eq!(healthz(&addr), 200, "{path}: server must keep serving");
+    }
 
     // Embedded NUL bytes and control characters in cells: valid JSON,
     // valid UTF-8 — must be interpreted (200) without panicking.
