@@ -1,11 +1,15 @@
 //! Kernel microbench — times three matmul arms per shape (naive,
-//! forced-scalar packed, runtime-dispatched SIMD) plus
-//! the batched CLS-embedding path at 1 thread vs N threads, writes
-//! `BENCH_kernels.json`, and **exits non-zero** when
+//! forced-scalar packed, runtime-dispatched SIMD), three GELU arms at the
+//! served FFN shape (libm `tanhf`, the in-crate scalar tanh port, the
+//! dispatched arm), plus the batched CLS-embedding path at 1 thread vs
+//! N threads, writes `BENCH_kernels.json`, and **exits non-zero** when
 //!
 //! - the parallel results diverge bytewise from the serial ones,
 //! - the SIMD arm's bytes differ from the forced-scalar fallback's
-//!   (they are designed bitwise-equal — divergence is a kernel bug), or
+//!   (they are designed bitwise-equal — divergence is a kernel bug),
+//! - the dispatched GELU arm is not bitwise equal to the scalar tanh
+//!   port (the libm arm's equality, which holds on fdlibm-derived libms
+//!   such as glibc's, is recorded as `libm_matches_port`), or
 //! - the host dispatches AVX2 but `simd_speedup` (forced-scalar time
 //!   over SIMD time, serial) lands under 1.2× on the two largest shapes.
 //!
@@ -147,6 +151,56 @@ fn main() {
         }));
     }
 
+    // -- GELU at the served FFN shape (seq 32 x ff 64) --------------------
+    const GELU_SHAPE: (usize, usize) = (MAX_SEQ, 64);
+    const GELU_REPS: usize = 500;
+    let x = random_tensor(GELU_SHAPE.0, GELU_SHAPE.1, &mut rng);
+    let xs: Vec<f32> = x.as_slice().iter().map(|v| v * 4.0).collect();
+    let libm_gelu = |v: f32| 0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh());
+    let mut out = vec![0.0f32; xs.len()];
+    let per_elem = |ms: f64| ms * 1e6 / (GELU_REPS * xs.len()) as f64;
+    let (libm_ms, libm) = time_ms(5, || {
+        for _ in 0..GELU_REPS {
+            for (o, &v) in out.iter_mut().zip(std::hint::black_box(&xs)) {
+                *o = libm_gelu(v);
+            }
+        }
+        out.clone()
+    });
+    let (port_ms, port) = time_ms(5, || {
+        for _ in 0..GELU_REPS {
+            for (o, &v) in out.iter_mut().zip(std::hint::black_box(&xs)) {
+                *o = simd::gelu_scalar(v);
+            }
+        }
+        out.clone()
+    });
+    let (dispatched_ms, dispatched) = time_ms(5, || {
+        for _ in 0..GELU_REPS {
+            simd::gelu_into(std::hint::black_box(&xs), &mut out);
+        }
+        out.clone()
+    });
+    let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    if !same(&port, &dispatched) {
+        eprintln!("FAIL: {} GELU is not bitwise equal to the scalar port", tier.name());
+        failed = true;
+    }
+    // The port is fdlibm's tanhf: equal to glibc's, not to every libm's.
+    let libm_matches_port = same(&libm, &port);
+    if !libm_matches_port {
+        eprintln!("note: this libm's tanhf differs from the fdlibm port (not glibc?)");
+    }
+    let (libm_ns, port_ns, dispatched_ns) =
+        (per_elem(libm_ms), per_elem(port_ms), per_elem(dispatched_ms));
+    println!(
+        "gelu {}x{}:  libm {libm_ns:.2} ns/elem | scalar port {port_ns:.2} ns/elem | \
+         {} {dispatched_ns:.2} ns/elem",
+        GELU_SHAPE.0,
+        GELU_SHAPE.1,
+        tier.name()
+    );
+
     // -- Batched CLS embedding (the serving hot path) ---------------------
     let dataset = generate_wiki(&WikiConfig { num_tables: 60, seed: 777, ..Default::default() });
     let tokenizer = build_tokenizer(&dataset, VOCAB_CAP);
@@ -180,6 +234,14 @@ fn main() {
         "dispatch_tier": tier.name(),
         "simd_speedup_floor": SIMD_SPEEDUP_FLOOR,
         "matmul": json!(matmul_shapes),
+        "gelu": json!({
+            "shape": json!([GELU_SHAPE.0, GELU_SHAPE.1]),
+            "libm_ns_per_elem": libm_ns,
+            "scalar_port_ns_per_elem": port_ns,
+            "dispatched_ns_per_elem": dispatched_ns,
+            "dispatched_speedup_vs_libm": libm_ns / dispatched_ns,
+            "libm_matches_port": libm_matches_port,
+        }),
         "embed_cls_batch": json!({
             "batch": batch,
             "max_seq": MAX_SEQ,

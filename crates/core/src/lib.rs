@@ -35,6 +35,7 @@ pub mod config;
 pub mod data;
 pub mod explain;
 pub mod generation;
+mod infer;
 pub mod model;
 pub mod persist;
 pub mod store;

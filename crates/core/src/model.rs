@@ -54,7 +54,7 @@ pub struct TaskState {
     pub q: EmbeddingStore,
 }
 
-/// Result of one sample's forward pass, used by training and prediction.
+/// Result of one sample's tape forward, used by training.
 pub(crate) struct SampleForward {
     pub graph: Graph,
     /// Final prediction logits (structural when SE is on, base otherwise).
@@ -63,22 +63,11 @@ pub(crate) struct SampleForward {
     pub l_l: Option<NodeId>,
     /// Global logits `l_G`, when GE is enabled and `Q` is non-empty.
     pub l_g: Option<NodeId>,
-    pub local_spans: Vec<LocalSpan>,
-    pub global_infl: Vec<GlobalInfluence>,
-    pub structural: Vec<StructuralNeighbor>,
-}
-
-/// One sample's node ids and explanation bundles on a *shared* tape —
-/// what [`ExplainTi::forward_encoded_in`] returns so batched inference
-/// can forward many samples through one [`Graph`] (amortising the
-/// parameter snapshots that dominate small-model forward cost).
-pub(crate) struct ForwardViews {
-    pub final_logits: NodeId,
-    pub l_l: Option<NodeId>,
-    pub l_g: Option<NodeId>,
-    pub local_spans: Vec<LocalSpan>,
-    pub global_infl: Vec<GlobalInfluence>,
-    pub structural: Vec<StructuralNeighbor>,
+    /// The views the tape computes alongside the losses. Training reads
+    /// only the logits; the tests compare the views with the tape-free
+    /// path's.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub explanation: Explanation,
 }
 
 /// The end-to-end ExplainTI model.
@@ -221,9 +210,8 @@ impl ExplainTi {
     /// Runs the encoder over every training sample of `task` and rebuilds
     /// the embedding store `Q` (Algorithm 2's initialisation/refresh).
     ///
-    /// Samples go through [`TransformerEncoder::embed_cls_batch`] in
-    /// chunks so each chunk shares one tape (and one snapshot of the
-    /// encoder weights) instead of re-materialising them per sample.
+    /// Samples go through the tape-free
+    /// [`TransformerEncoder::embed_cls_batch`] in chunks of 32.
     pub fn refresh_store(&mut self, task: usize) {
         let _span = explainti_obs::span!("store.refresh");
         const CHUNK: usize = 32;
@@ -261,9 +249,9 @@ impl ExplainTi {
         self.tasks[task].q.remove(idx)
     }
 
-    /// Full forward pass over one sample, producing all logits and
-    /// explanation bundles. Training advances the model RNG (dropout
-    /// masks, SE neighbour draws); inference paths leave it untouched.
+    /// Full forward pass over one sample on a tape, producing all logits
+    /// and explanation bundles: the training path. Training advances the
+    /// model RNG (dropout masks, SE neighbour draws).
     pub(crate) fn forward_sample(
         &mut self,
         task: usize,
@@ -272,73 +260,28 @@ impl ExplainTi {
     ) -> SampleForward {
         let encoded = self.tasks[task].data.samples[sample_idx].encoded.clone();
         let mut rng = self.rng.clone();
-        let fwd = self.forward_encoded(task, &encoded, Some(sample_idx), training, true, &mut rng);
+        let fwd = self.forward_encoded(task, &encoded, Some(sample_idx), training, &mut rng);
         self.rng = rng;
         fwd
     }
 
-    /// Logits-only forward (no LE/GE work): LE and GE contribute training
-    /// losses and explanations but never the final logits, so evaluation
-    /// sweeps skip them. [`Self::predict`] keeps the full bundle.
-    fn forward_logits_only(&self, task: usize, sample_idx: usize) -> SampleForward {
-        let encoded = &self.tasks[task].data.samples[sample_idx].encoded;
-        let mut rng = self.inference_rng();
-        self.forward_encoded(task, encoded, Some(sample_idx), false, false, &mut rng)
-    }
-
-    /// RNG for inference forwards. Inference never consumes randomness
-    /// (dropout is off and SE's eval path derives its own per-node
-    /// deterministic draw), but the forward signature threads one through
-    /// for the training path, so hand it a fixed-seed throwaway.
-    fn inference_rng(&self) -> SmallRng {
-        SmallRng::seed_from_u64(self.cfg.seed)
-    }
-
     /// Forward pass over an arbitrary encoded sequence on a fresh tape.
-    /// See [`Self::forward_encoded_in`] for the `node` semantics.
+    /// `node` is the sample's column-graph node when it exists in the
+    /// task data; ad-hoc inputs (e.g. freshly ingested CSV columns) pass
+    /// `None`, in which case SE falls back to self-attention and GE
+    /// retrieves without self-exclusion. Inference runs the tape-free
+    /// [`Self::infer`] instead, which computes the same bits.
     pub(crate) fn forward_encoded(
         &self,
         task: usize,
         encoded: &explainti_tokenizer::Encoded,
         node: Option<usize>,
         training: bool,
-        with_views: bool,
         rng: &mut SmallRng,
     ) -> SampleForward {
-        let mut g = Graph::new();
-        let v = self.forward_encoded_in(&mut g, task, encoded, node, training, with_views, rng);
-        SampleForward {
-            graph: g,
-            final_logits: v.final_logits,
-            l_l: v.l_l,
-            l_g: v.l_g,
-            local_spans: v.local_spans,
-            global_infl: v.global_infl,
-            structural: v.structural,
-        }
-    }
-
-    /// Forward pass over an arbitrary encoded sequence on a caller-owned
-    /// (possibly shared) tape. `node` is the sample's column-graph node
-    /// when it exists in the task data; ad-hoc inputs (e.g. freshly
-    /// ingested CSV columns) pass `None`, in which case SE falls back to
-    /// self-attention and GE retrieves without self-exclusion.
-    ///
-    /// Takes `&self`: the prediction path reads shared state only, so
-    /// concurrent callers (the inference server's worker pool) can share
-    /// one model behind an `Arc` without locking.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_encoded_in(
-        &self,
-        g: &mut Graph,
-        task: usize,
-        encoded: &explainti_tokenizer::Encoded,
-        node: Option<usize>,
-        training: bool,
-        with_views: bool,
-        rng: &mut SmallRng,
-    ) -> ForwardViews {
         let _span = explainti_obs::span!("model.forward");
+        let mut graph = Graph::new();
+        let g = &mut graph;
         let kind = self.tasks[task].data.kind;
         let emb = self.encoder.forward(g, &self.store, encoded, training, rng);
         let cls = self.encoder.cls(g, emb);
@@ -356,40 +299,34 @@ impl ExplainTi {
         };
 
         // --- LE: Algorithm 1 -------------------------------------------
-        let (l_l, local_spans) = if self.cfg.use_le && with_views {
+        let (l_l, local_spans) = if self.cfg.use_le {
             self.local_explanations(task, g, emb, final_logits, encoded, kind)
         } else {
             (None, Vec::new())
         };
 
         // --- GE: Algorithm 2 -------------------------------------------
-        let (l_g, global_infl) = if self.cfg.use_ge && with_views {
+        let (l_g, global_infl) = if self.cfg.use_ge {
             self.global_explanations(task, g, cls, &cls_value, node, training)
         } else {
             (None, Vec::new())
         };
 
-        ForwardViews { final_logits, l_l, l_g, local_spans, global_infl, structural }
+        let explanation = Explanation { local: local_spans, global: global_infl, structural };
+        SampleForward { graph, final_logits, l_l, l_g, explanation }
     }
 
-    /// Algorithm 1: sliding-window relevance scores and local logits.
-    #[allow(clippy::too_many_arguments)]
-    fn local_explanations(
+    /// Algorithm 1's concept anchors `(start, len, paired_start)`: sliding
+    /// windows for ExplainTI, marker-delimited segments for the
+    /// SelfExplain reproduction; pairwise anchors for relations.
+    pub(crate) fn le_anchors(
         &self,
-        task: usize,
-        g: &mut Graph,
-        emb: NodeId,
-        reference_logits: NodeId,
         encoded: &explainti_tokenizer::Encoded,
         kind: TaskKind,
-    ) -> (Option<NodeId>, Vec<LocalSpan>) {
-        let _span = explainti_obs::span!("explain.le");
+    ) -> Vec<(usize, usize, Option<usize>)> {
         let k = self.cfg.window;
         let len = encoded.len;
-        // Enumerate concept anchors `(start, len, paired_start)`: sliding
-        // windows for ExplainTI, marker-delimited segments for the
-        // SelfExplain reproduction; pairwise anchors for relations.
-        let mut anchors: Vec<(usize, usize, Option<usize>)> = Vec::new();
+        let mut anchors = Vec::new();
         match self.cfg.le_mode {
             crate::config::LeMode::Segments => {
                 // Segments between special/marker tokens (ids < 8).
@@ -433,6 +370,65 @@ impl ExplainTi {
                 }
             },
         }
+        anchors
+    }
+
+    /// One window's score against the prediction distribution.
+    pub(crate) fn le_score(&self, probs: &[f32], full_probs: &[f32]) -> f32 {
+        match self.cfg.le_scoring {
+            crate::config::LeScoring::KlDivergence => kl_divergence(probs, full_probs),
+            crate::config::LeScoring::LogitDrop => {
+                let pred = full_probs
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                (full_probs[pred] - probs[pred]).abs()
+            }
+        }
+    }
+
+    /// The ranked local view: each anchor's decoded text with its
+    /// relevance score `RS_j` (the scores normalised to sum to one).
+    pub(crate) fn le_spans(
+        &self,
+        anchors: &[(usize, usize, Option<usize>)],
+        scores: &[f32],
+        encoded: &explainti_tokenizer::Encoded,
+    ) -> Vec<LocalSpan> {
+        let mut spans: Vec<LocalSpan> = anchors
+            .iter()
+            .zip(relevance(scores))
+            .map(|(&(j, wlen, js), relevance)| {
+                let mut text = self.tokenizer.decode(&encoded.ids[j..j + wlen]);
+                if let Some(js) = js {
+                    text.push_str(" ⟷ ");
+                    text.push_str(&self.tokenizer.decode(&encoded.ids[js..js + wlen]));
+                }
+                LocalSpan { start: j, window: wlen, pair_start: js, text, relevance }
+            })
+            .collect();
+        spans.sort_by(|a, b| {
+            b.relevance.partial_cmp(&a.relevance).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        spans
+    }
+
+    /// Algorithm 1: sliding-window relevance scores and local logits.
+    #[allow(clippy::too_many_arguments)]
+    fn local_explanations(
+        &self,
+        task: usize,
+        g: &mut Graph,
+        emb: NodeId,
+        reference_logits: NodeId,
+        encoded: &explainti_tokenizer::Encoded,
+        kind: TaskKind,
+    ) -> (Option<NodeId>, Vec<LocalSpan>) {
+        let _span = explainti_obs::span!("explain.le");
+        let len = encoded.len;
+        let anchors = self.le_anchors(encoded, kind);
         if anchors.is_empty() {
             return (None, Vec::new());
         }
@@ -443,7 +439,7 @@ impl ExplainTi {
         let live = g.rows_range(emb, 0, len);
         let all_mean = g.mean_rows(live);
         let mut window_nodes: Vec<NodeId> = Vec::with_capacity(anchors.len());
-        let mut kls: Vec<f32> = Vec::with_capacity(anchors.len());
+        let mut scores: Vec<f32> = Vec::with_capacity(anchors.len());
         for &(j, wlen, js) in &anchors {
             // Algorithm 1 describes t_j as "the representation of the
             // sample without each window"; we realise that literally as
@@ -466,61 +462,76 @@ impl ExplainTi {
                 }
                 None => (win_mean, wlen),
             };
-            let remaining = len.saturating_sub(removed_count).max(1) as f32;
-            let scaled_all = g.scale(all_mean, len as f32 / remaining);
-            let scaled_win = g.scale(removed_mean, removed_count as f32 / remaining);
+            let (all_scale, win_scale) = le_scales(len, removed_count);
+            let scaled_all = g.scale(all_mean, all_scale);
+            let scaled_win = g.scale(removed_mean, win_scale);
             let t = g.sub(scaled_all, scaled_win);
             let s = self.tasks[task].heads.w_l.forward(g, &self.store, t);
-            let probs = softmax(g.value(s).as_slice());
-            let score = match self.cfg.le_scoring {
-                crate::config::LeScoring::KlDivergence => kl_divergence(&probs, &full_probs),
-                crate::config::LeScoring::LogitDrop => {
-                    let pred = full_probs
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    (full_probs[pred] - probs[pred]).abs()
-                }
-            };
-            kls.push(score);
+            scores.push(self.le_score(&softmax(g.value(s).as_slice()), &full_probs));
             window_nodes.push(s);
         }
 
-        let tot: f32 = kls.iter().sum();
-        let rs: Vec<f32> = if tot > 1e-12 {
-            kls.iter().map(|k| k / tot).collect()
-        } else {
-            vec![1.0 / kls.len() as f32; kls.len()]
-        };
-
         // l_L = Σ_j RS_j · s_j (relevance-weighted window logits).
         let mut l_l: Option<NodeId> = None;
-        for (s, &w) in window_nodes.iter().zip(&rs) {
+        for (s, w) in window_nodes.iter().zip(relevance(&scores)) {
             let scaled = g.scale(*s, w);
             l_l = Some(match l_l {
                 Some(acc) => g.add(acc, scaled),
                 None => scaled,
             });
         }
+        (l_l, self.le_spans(&anchors, &scores, encoded))
+    }
 
-        let mut spans: Vec<LocalSpan> = anchors
+    /// GE's retrieval for `cls_value`: the top-K stored neighbours, their
+    /// raw embeddings and their ℓ2-normalised embeddings (norms
+    /// detached); `None` when the store returns nothing.
+    pub(crate) fn ge_retrieve(
+        &self,
+        task: usize,
+        cls_value: &Tensor,
+        exclude: Option<usize>,
+    ) -> Option<(Vec<explainti_ann::Neighbor>, Tensor, Tensor)> {
+        let q = &self.tasks[task].q;
+        let found = q.top_k(cls_value, self.cfg.top_k, exclude);
+        if found.is_empty() {
+            return None;
+        }
+        let d = self.encoder.d_model();
+        let mut q_raw = Tensor::zeros(found.len(), d);
+        let mut q_hat = Tensor::zeros(found.len(), d);
+        for (r, n) in found.iter().enumerate() {
+            let e = q.get(n.id).expect("retrieved neighbour must be stored");
+            q_raw.row_slice_mut(r).copy_from_slice(e.as_slice());
+            let norm = e.norm().max(1e-6);
+            for (dst, &src) in q_hat.row_slice_mut(r).iter_mut().zip(e.as_slice()) {
+                *dst = src / norm;
+            }
+        }
+        Some((found, q_raw, q_hat))
+    }
+
+    /// The ranked global view from the retrieved neighbours and their
+    /// influence scores `IS`.
+    pub(crate) fn ge_influences(
+        &self,
+        task: usize,
+        found: &[explainti_ann::Neighbor],
+        influences: &[f32],
+    ) -> Vec<GlobalInfluence> {
+        let mut infl: Vec<GlobalInfluence> = found
             .iter()
-            .zip(&rs)
-            .map(|(&(j, wlen, js), &relevance)| {
-                let mut text = self.tokenizer.decode(&encoded.ids[j..j + wlen]);
-                if let Some(js) = js {
-                    text.push_str(" ⟷ ");
-                    text.push_str(&self.tokenizer.decode(&encoded.ids[js..js + wlen]));
-                }
-                LocalSpan { start: j, window: wlen, pair_start: js, text, relevance }
+            .zip(influences)
+            .map(|(n, &influence)| GlobalInfluence {
+                sample: n.id,
+                influence,
+                label: self.tasks[task].q.label(n.id).unwrap_or(usize::MAX),
             })
             .collect();
-        spans.sort_by(|a, b| {
-            b.relevance.partial_cmp(&a.relevance).unwrap_or(std::cmp::Ordering::Equal)
+        infl.sort_by(|a, b| {
+            b.influence.partial_cmp(&a.influence).unwrap_or(std::cmp::Ordering::Equal)
         });
-        (l_l, spans)
+        infl
     }
 
     /// Algorithm 2: top-K influential samples and global logits.
@@ -535,127 +546,62 @@ impl ExplainTi {
     ) -> (Option<NodeId>, Vec<GlobalInfluence>) {
         let _span = explainti_obs::span!("explain.ge");
         let exclude = if training { node } else { None };
-        let found = self.tasks[task].q.top_k(cls_value, self.cfg.top_k, exclude);
-        if found.is_empty() {
+        let Some((found, q_raw, q_hat)) = self.ge_retrieve(task, cls_value, exclude) else {
             return (None, Vec::new());
-        }
-        let d = self.encoder.d_model();
-        let kn = found.len();
-        let mut q_raw = Tensor::zeros(kn, d);
-        let mut q_hat = Tensor::zeros(kn, d);
-        for (r, n) in found.iter().enumerate() {
-            let e = self.tasks[task].q.get(n.id).expect("retrieved neighbour must be stored");
-            q_raw.row_slice_mut(r).copy_from_slice(e.as_slice());
-            let norm = e.norm().max(1e-6);
-            for (dst, &src) in q_hat.row_slice_mut(r).iter_mut().zip(e.as_slice()) {
-                *dst = src / norm;
-            }
-        }
+        };
         // cos(E_CLS, q) with detached norms: (E/‖E‖) · q̂.
-        let inv_norm = 1.0 / cls_value.norm().max(1e-6);
         let q_hat_n = g.input(q_hat);
         let q_raw_n = g.input(q_raw);
-        let scaled_cls = g.scale(cls, inv_norm);
+        let scaled_cls = g.scale(cls, ge_inv_norm(cls_value));
         let sims = g.matmul_nt(scaled_cls, q_hat_n);
         let is_node = g.softmax(sims);
         let e_g = g.matmul(is_node, q_raw_n);
         let l_g = self.tasks[task].heads.w_g.forward(g, &self.store, e_g);
-
-        let is_values = g.value(is_node).as_slice().to_vec();
-        let mut infl: Vec<GlobalInfluence> = found
-            .iter()
-            .zip(is_values)
-            .map(|(n, influence)| GlobalInfluence {
-                sample: n.id,
-                influence,
-                label: self.tasks[task].q.label(n.id).unwrap_or(usize::MAX),
-            })
-            .collect();
-        infl.sort_by(|a, b| {
-            b.influence.partial_cmp(&a.influence).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        (Some(l_g), infl)
+        (Some(l_g), self.ge_influences(task, &found, g.value(is_node).as_slice()))
     }
 
-    /// Algorithm 4: graph-attention aggregation and structural logits.
-    #[allow(clippy::too_many_arguments)]
-    fn structural_explanations(
+    /// SE's neighbours of `node` at inference: a per-node deterministic
+    /// draw, so predictions are reproducible. Ad-hoc inputs (`None`) have
+    /// no graph node and get none.
+    pub(crate) fn se_eval_neighbours(&self, task: usize, node: Option<usize>) -> Vec<usize> {
+        let Some(sample_idx) = node else {
+            return Vec::new();
+        };
+        let state = &self.tasks[task];
+        let pred = |n: usize| n != sample_idx && state.q.has(n);
+        let mut eval_rng = SmallRng::seed_from_u64(
+            self.cfg.seed ^ (sample_idx as u64).wrapping_mul(0x9e3779b97f4a7c15),
+        );
+        state.data.graph.sample_neighbors(sample_idx, self.cfg.sample_r, Some(&pred), &mut eval_rng)
+    }
+
+    /// The stored embeddings of the sampled neighbours, one per row; an
+    /// isolated or ad-hoc node attends to itself, so `E_s = E_[CLS]`.
+    pub(crate) fn se_matrix(&self, task: usize, cls_value: &Tensor, sampled: &[usize]) -> Tensor {
+        if sampled.is_empty() {
+            return cls_value.clone();
+        }
+        let q = &self.tasks[task].q;
+        let mut m = Tensor::zeros(sampled.len(), self.encoder.d_model());
+        for (row, &n) in sampled.iter().enumerate() {
+            m.row_slice_mut(row)
+                .copy_from_slice(q.get(n).expect("sampled nodes are stored").as_slice());
+        }
+        m
+    }
+
+    /// The ranked structural view: duplicate neighbours (with-replacement
+    /// sampling) merged by summing their attention mass.
+    pub(crate) fn se_merge(
         &self,
         task: usize,
-        g: &mut Graph,
-        cls: NodeId,
-        cls_value: &Tensor,
-        node: Option<usize>,
-        training: bool,
-        rng: &mut SmallRng,
-    ) -> (NodeId, Vec<StructuralNeighbor>) {
-        let _span = explainti_obs::span!("explain.se");
-        let r = self.cfg.sample_r;
-        let state = &self.tasks[task];
-        let q = &state.q;
-        // Training samples fresh neighbours per step (the paper's uniform
-        // sampling); inference uses a per-node deterministic draw so
-        // predictions are reproducible. Ad-hoc inputs (node = None) have
-        // no graph node and fall through to the self-attention fallback.
-        let sampled = match node {
-            Some(sample_idx) => {
-                let pred = |n: usize| n != sample_idx && q.has(n);
-                if training {
-                    state.data.graph.sample_neighbors(sample_idx, r, Some(&pred), rng)
-                } else {
-                    let mut eval_rng = SmallRng::seed_from_u64(
-                        self.cfg.seed ^ (sample_idx as u64).wrapping_mul(0x9e3779b97f4a7c15),
-                    );
-                    state.data.graph.sample_neighbors(sample_idx, r, Some(&pred), &mut eval_rng)
-                }
-            }
-            None => Vec::new(),
-        };
-
-        let d = self.encoder.d_model();
-        let (neigh_matrix, ids): (Tensor, Vec<usize>) = if sampled.is_empty() {
-            // Isolated or ad-hoc node: attend to the sample itself so
-            // E_s = E_[CLS]; the structural view is reported empty.
-            (cls_value.clone(), Vec::new())
-        } else {
-            let mut m = Tensor::zeros(sampled.len(), d);
-            for (row, &n) in sampled.iter().enumerate() {
-                m.row_slice_mut(row).copy_from_slice(self.tasks[task].q.get(n).unwrap().as_slice());
-            }
-            (m, sampled)
-        };
-
-        let n_node = g.input(neigh_matrix);
-        // Eq. 5 uses raw dot products; post-layer-norm embeddings have
-        // norm ~ sqrt(d), so raw dots saturate the softmax into a hard
-        // (and noisy) max. Temperature-scaling by 1/d keeps the attention
-        // soft enough to average out bad neighbours (noted in DESIGN.md).
-        let (as_values_node, e_s) = match self.cfg.se_aggregation {
-            crate::config::SeAggregation::Attention => {
-                let scores = g.matmul_nt(cls, n_node);
-                let scaled = g.scale(scores, 1.0 / d as f32);
-                let as_node = g.softmax(scaled);
-                let e_s = g.matmul(as_node, n_node);
-                (as_node, e_s)
-            }
-            crate::config::SeAggregation::MeanPooling => {
-                let rows = g.value(n_node).rows();
-                let uniform = g.input(Tensor::full(1, rows, 1.0 / rows as f32));
-                let e_s = g.mean_rows(n_node);
-                (uniform, e_s)
-            }
-        };
-        let as_node = as_values_node;
-        let e_star = g.concat_cols(e_s, cls);
-        let logits = self.tasks[task].heads.w_s.forward(g, &self.store, e_star);
-
-        // Merge duplicate neighbours (with-replacement sampling) by
-        // summing attention mass.
-        let as_values = g.value(as_node).as_slice().to_vec();
+        ids: &[usize],
+        attention: &[f32],
+    ) -> Vec<StructuralNeighbor> {
         // BTreeMap, not HashMap: with a HashMap, ties on attention would
         // surface in hash order and the SE ranking would differ run to run.
         let mut merged: std::collections::BTreeMap<usize, f32> = std::collections::BTreeMap::new();
-        for (&id, &a) in ids.iter().zip(&as_values) {
+        for (&id, &a) in ids.iter().zip(attention) {
             *merged.entry(id).or_insert(0.0) += a;
         }
         let mut structural: Vec<StructuralNeighbor> = merged
@@ -672,7 +618,57 @@ impl ExplainTi {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.node.cmp(&b.node))
         });
-        (logits, structural)
+        structural
+    }
+
+    /// Algorithm 4: graph-attention aggregation and structural logits.
+    #[allow(clippy::too_many_arguments)]
+    fn structural_explanations(
+        &self,
+        task: usize,
+        g: &mut Graph,
+        cls: NodeId,
+        cls_value: &Tensor,
+        node: Option<usize>,
+        training: bool,
+        rng: &mut SmallRng,
+    ) -> (NodeId, Vec<StructuralNeighbor>) {
+        let _span = explainti_obs::span!("explain.se");
+        // Training samples fresh neighbours per step (the paper's uniform
+        // sampling), restricted to nodes present in the store.
+        let ids = match node {
+            Some(sample_idx) if training => {
+                let q = &self.tasks[task].q;
+                let pred = |n: usize| n != sample_idx && q.has(n);
+                let graph = &self.tasks[task].data.graph;
+                graph.sample_neighbors(sample_idx, self.cfg.sample_r, Some(&pred), rng)
+            }
+            _ => self.se_eval_neighbours(task, node),
+        };
+        let d = self.encoder.d_model();
+        let n_node = g.input(self.se_matrix(task, cls_value, &ids));
+        // Eq. 5 uses raw dot products; post-layer-norm embeddings have
+        // norm ~ sqrt(d), so raw dots saturate the softmax into a hard
+        // (and noisy) max. Temperature-scaling by 1/d keeps the attention
+        // soft enough to average out bad neighbours (noted in DESIGN.md).
+        let (as_node, e_s) = match self.cfg.se_aggregation {
+            crate::config::SeAggregation::Attention => {
+                let scores = g.matmul_nt(cls, n_node);
+                let scaled = g.scale(scores, 1.0 / d as f32);
+                let as_node = g.softmax(scaled);
+                let e_s = g.matmul(as_node, n_node);
+                (as_node, e_s)
+            }
+            crate::config::SeAggregation::MeanPooling => {
+                let rows = g.value(n_node).rows();
+                let uniform = g.input(Tensor::full(1, rows, 1.0 / rows as f32));
+                let e_s = g.mean_rows(n_node);
+                (uniform, e_s)
+            }
+        };
+        let e_star = g.concat_cols(e_s, cls);
+        let logits = self.tasks[task].heads.w_s.forward(g, &self.store, e_star);
+        (logits, self.se_merge(task, &ids, g.value(as_node).as_slice()))
     }
 
     /// Serialises an ad-hoc column with the model's tokenizer, ready for
@@ -710,112 +706,98 @@ impl ExplainTi {
     /// multi-view explanations.
     pub fn predict_encoded(&self, encoded: &explainti_tokenizer::Encoded) -> Prediction {
         let task = self.task_index(TaskKind::Type).expect("type task not registered");
-        let mut rng = self.inference_rng();
-        let fwd = self.forward_encoded(task, encoded, None, false, true, &mut rng);
-        Self::prediction_from(fwd)
+        let (logits, explanation) = self.infer(task, encoded, None, true);
+        prediction(logits.as_slice(), explanation)
     }
 
-    /// Predicts a micro-batch of pre-encoded ad-hoc columns (type task)
-    /// through **one shared tape**, so the encoder's weight snapshots
-    /// amortise across the batch — the entry point the inference server's
-    /// batching collector drains into. Results are in input order and
-    /// identical to per-sample [`Self::predict_encoded`] calls.
+    /// Predicts a micro-batch of pre-encoded ad-hoc columns (type task) —
+    /// the entry point the inference server's batching collector drains
+    /// into. The columns are split across the global pool; results are in
+    /// input order and identical to per-column [`Self::predict_encoded`]
+    /// calls.
     pub fn predict_encoded_batch(&self, encs: &[explainti_tokenizer::Encoded]) -> Vec<Prediction> {
         let _span = explainti_obs::span!("model.predict_batch");
         let task = self.task_index(TaskKind::Type).expect("type task not registered");
+        let predict = |chunk: &[explainti_tokenizer::Encoded]| -> Vec<Prediction> {
+            chunk
+                .iter()
+                .map(|enc| {
+                    let (logits, explanation) = self.infer(task, enc, None, true);
+                    prediction(logits.as_slice(), explanation)
+                })
+                .collect()
+        };
         let pool = explainti_pool::global();
         let chunks = pool.threads().min(encs.len());
         if chunks <= 1 {
-            return self.predict_encoded_chunk(task, encs);
+            return predict(encs);
         }
-        // Per-sequence forwards are independent (each chunk gets its own
-        // tape; `inference_rng` is a fixed-seed throwaway that inference
-        // never advances), so splitting the batch across the pool yields
-        // byte-identical predictions to the serial path in input order.
-        let chunk_len = encs.len().div_ceil(chunks);
-        let slices: Vec<&[explainti_tokenizer::Encoded]> = encs.chunks(chunk_len).collect();
+        let slices: Vec<&[explainti_tokenizer::Encoded]> =
+            encs.chunks(encs.len().div_ceil(chunks)).collect();
         explainti_obs::set_gauge("model.predict_batch.chunks", slices.len() as f64);
-        pool.map(slices.len(), |i| self.predict_encoded_chunk(task, slices[i]))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Single-tape worker for [`Self::predict_encoded_batch`]: one shared
-    /// graph per chunk so the encoder's weight snapshots amortise.
-    fn predict_encoded_chunk(
-        &self,
-        task: usize,
-        encs: &[explainti_tokenizer::Encoded],
-    ) -> Vec<Prediction> {
-        let mut rng = self.inference_rng();
-        let mut g = Graph::new();
-        encs.iter()
-            .map(|enc| {
-                let v = self.forward_encoded_in(&mut g, task, enc, None, false, true, &mut rng);
-                Self::prediction_from_views(&g, v)
-            })
-            .collect()
+        pool.map(slices.len(), |i| predict(slices[i])).into_iter().flatten().collect()
     }
 
     /// Predicts one sample with full multi-view explanations.
     pub fn predict(&self, kind: TaskKind, sample_idx: usize) -> Prediction {
         let task = self.task_index(kind).expect("task not registered");
         let encoded = &self.tasks[task].data.samples[sample_idx].encoded;
-        let mut rng = self.inference_rng();
-        let fwd = self.forward_encoded(task, encoded, Some(sample_idx), false, true, &mut rng);
-        Self::prediction_from(fwd)
+        let (logits, explanation) = self.infer(task, encoded, Some(sample_idx), true);
+        prediction(logits.as_slice(), explanation)
     }
 
-    fn prediction_from(fwd: SampleForward) -> Prediction {
-        let views = ForwardViews {
-            final_logits: fwd.final_logits,
-            l_l: fwd.l_l,
-            l_g: fwd.l_g,
-            local_spans: fwd.local_spans,
-            global_infl: fwd.global_infl,
-            structural: fwd.structural,
-        };
-        Self::prediction_from_views(&fwd.graph, views)
-    }
-
-    fn prediction_from_views(g: &Graph, views: ForwardViews) -> Prediction {
-        let logits = g.value(views.final_logits).as_slice().to_vec();
-        let probs = softmax(&logits);
-        let label = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        Prediction {
-            label,
-            confidence: probs[label],
-            probs,
-            explanation: Explanation {
-                local: views.local_spans,
-                global: views.global_infl,
-                structural: views.structural,
-            },
-        }
-    }
-
-    /// Evaluates F1 over a split of a task.
+    /// Evaluates F1 over a split of a task. Only the final logits are
+    /// computed: LE and GE contribute training losses and explanations,
+    /// never the prediction.
     pub fn evaluate(&self, kind: TaskKind, split: Split) -> F1Scores {
         let _span = explainti_obs::span!("evaluate");
         let task = self.task_index(kind).expect("task not registered");
-        let indices = self.tasks[task].data.indices(split).to_vec();
-        let num_classes = self.tasks[task].data.num_classes;
-        let mut preds = Vec::with_capacity(indices.len());
-        let mut actual = Vec::with_capacity(indices.len());
-        for idx in indices {
-            let fwd = self.forward_logits_only(task, idx);
-            let logits = fwd.graph.value(fwd.final_logits);
+        let data = &self.tasks[task].data;
+        let mut preds = Vec::new();
+        let mut actual = Vec::new();
+        for &idx in data.indices(split) {
+            let (logits, _) = self.infer(task, &data.samples[idx].encoded, Some(idx), false);
             preds.push(logits.argmax_row(0));
-            actual.push(self.tasks[task].data.samples[idx].label);
+            actual.push(data.samples[idx].label);
         }
-        f1_scores(&preds, &actual, num_classes)
+        f1_scores(&preds, &actual, data.num_classes)
     }
+}
+
+/// A prediction from its final logits: the softmax distribution, its
+/// arg-max label and confidence, and the explanation views.
+pub(crate) fn prediction(logits: &[f32], explanation: Explanation) -> Prediction {
+    let probs = softmax(logits);
+    let label = probs
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    Prediction { label, confidence: probs[label], probs, explanation }
+}
+
+/// Relevance scores `RS_j` (Eq. 3): the window scores normalised to sum
+/// to one, uniform when they are all (near) zero.
+fn relevance(scores: &[f32]) -> Vec<f32> {
+    let tot: f32 = scores.iter().sum();
+    if tot > 1e-12 {
+        scores.iter().map(|k| k / tot).collect()
+    } else {
+        vec![1.0 / scores.len() as f32; scores.len()]
+    }
+}
+
+/// LE's `t_j = a·mean_all − b·mean_removed` coefficients `(a, b)` for a
+/// `len`-token sample with `removed` tokens inside the window(s).
+pub(crate) fn le_scales(len: usize, removed: usize) -> (f32, f32) {
+    let remaining = len.saturating_sub(removed).max(1) as f32;
+    (len as f32 / remaining, removed as f32 / remaining)
+}
+
+/// GE's detached `1/‖E_[CLS]‖`.
+pub(crate) fn ge_inv_norm(cls_value: &Tensor) -> f32 {
+    1.0 / cls_value.norm().max(1e-6)
 }
 
 #[cfg(test)]
@@ -850,9 +832,9 @@ mod tests {
         let fwd = m.forward_sample(0, sample, false);
         assert!(fwd.l_l.is_some(), "LE missing");
         assert!(fwd.l_g.is_some(), "GE missing");
-        assert!(!fwd.local_spans.is_empty());
-        assert!(!fwd.global_infl.is_empty());
-        assert!(!fwd.structural.is_empty());
+        assert!(!fwd.explanation.local.is_empty());
+        assert!(!fwd.explanation.global.is_empty());
+        assert!(!fwd.explanation.structural.is_empty());
         let c = m.tasks[0].data.num_classes;
         assert_eq!(fwd.graph.value(fwd.final_logits).shape(), (1, c));
     }
@@ -862,7 +844,7 @@ mod tests {
         let mut m = model();
         m.refresh_store(0);
         let fwd = m.forward_sample(0, 3, false);
-        let total: f32 = fwd.local_spans.iter().map(|s| s.relevance).sum();
+        let total: f32 = fwd.explanation.local.iter().map(|s| s.relevance).sum();
         assert!((total - 1.0).abs() < 1e-4, "RS sum {total}");
     }
 
@@ -871,9 +853,9 @@ mod tests {
         let mut m = model();
         m.refresh_store(0);
         let fwd = m.forward_sample(0, 5, false);
-        let total: f32 = fwd.global_infl.iter().map(|s| s.influence).sum();
+        let total: f32 = fwd.explanation.global.iter().map(|s| s.influence).sum();
         assert!((total - 1.0).abs() < 1e-4);
-        for pair in fwd.global_infl.windows(2) {
+        for pair in fwd.explanation.global.windows(2) {
             assert!(pair[0].influence >= pair[1].influence);
         }
     }
@@ -883,7 +865,7 @@ mod tests {
         let mut m = model();
         m.refresh_store(0);
         let fwd = m.forward_sample(0, 2, false);
-        let total: f32 = fwd.structural.iter().map(|s| s.attention).sum();
+        let total: f32 = fwd.explanation.structural.iter().map(|s| s.attention).sum();
         assert!((total - 1.0).abs() < 1e-4);
     }
 
@@ -893,7 +875,7 @@ mod tests {
         m.refresh_store(0);
         let train0 = m.tasks[0].data.train_idx[0];
         let fwd = m.forward_sample(0, train0, true);
-        assert!(fwd.global_infl.iter().all(|g| g.sample != train0));
+        assert!(fwd.explanation.global.iter().all(|g| g.sample != train0));
     }
 
     #[test]
@@ -905,8 +887,8 @@ mod tests {
         let fwd = m.forward_sample(0, 0, false);
         assert!(fwd.l_l.is_none());
         assert!(fwd.l_g.is_none());
-        assert!(fwd.local_spans.is_empty());
-        assert!(fwd.structural.is_empty());
+        assert!(fwd.explanation.local.is_empty());
+        assert!(fwd.explanation.structural.is_empty());
     }
 
     #[test]
@@ -968,7 +950,7 @@ mod tests {
         let mut m = model();
         m.refresh_store(1);
         let fwd = m.forward_sample(1, 0, false);
-        assert!(!fwd.local_spans.is_empty());
-        assert!(fwd.local_spans.iter().all(|s| s.pair_start.is_some()));
+        assert!(!fwd.explanation.local.is_empty());
+        assert!(fwd.explanation.local.iter().all(|s| s.pair_start.is_some()));
     }
 }

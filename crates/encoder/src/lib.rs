@@ -184,91 +184,84 @@ impl TransformerEncoder {
         (x, sum)
     }
 
-    /// Runs the encoder over a batch of sequences sharing one tape.
-    ///
-    /// Within a single [`Graph`], parameter snapshots are memoised, so
-    /// the embedding tables and every layer's attention/FF weights are
-    /// materialised once per batch instead of once per sequence — the
-    /// batch-friendly entry point the inference server's micro-batching
-    /// collector drains into. Returns one `max_seq x d_model` node per
-    /// sequence, in input order.
-    pub fn forward_batch(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        encs: &[Encoded],
-        training: bool,
-        rng: &mut SmallRng,
-    ) -> Vec<NodeId> {
-        let _span = explainti_obs::span!("encoder.forward_batch");
-        encs.iter().map(|enc| self.forward(g, store, enc, training, rng)).collect()
-    }
-
     /// Extracts `E_[CLS]` (row 0) from a full-forward output node.
     pub fn cls(&self, g: &mut Graph, embeddings: NodeId) -> NodeId {
         g.rows_range(embeddings, 0, 1)
     }
 
-    /// Convenience inference pass returning the CLS embedding as a tensor.
-    pub fn embed_cls(&self, store: &ParamStore, enc: &Encoded, rng: &mut SmallRng) -> Tensor {
-        let _span = explainti_obs::span!("encoder.embed_cls");
-        let mut g = Graph::new();
-        let e = self.forward(&mut g, store, enc, false, rng);
-        let cls = self.cls(&mut g, e);
-        g.value(cls).clone()
+    /// The tape-free forward (DESIGN.md §18): the `enc.len x d_model`
+    /// embeddings of `enc`'s live positions, bit-identical to those rows
+    /// of [`Self::forward`] with `training = false`. The pad mask hides
+    /// padding from every live row, the row-wise layers (linears,
+    /// LayerNorm, GELU, residual adds) never mix rows, and each kernel is
+    /// the one the tape picks for the full `max_seq` rows.
+    ///
+    /// # Panics
+    /// Panics if `enc` is not `max_seq` long or has no live position.
+    pub fn forward_live(&self, store: &ParamStore, enc: &Encoded) -> Tensor {
+        let _span = explainti_obs::span!("encoder.forward");
+        let m = self.cfg.max_seq;
+        assert_eq!(enc.ids.len(), m, "sequence length mismatch");
+        assert!((1..=m).contains(&enc.len), "no live position to encode");
+        let mask = enc.pad_mask();
+        let live = enc.len;
+        let sum = {
+            let _span = explainti_obs::span!("encoder.embed");
+            let positions: Vec<usize> = (0..live).collect();
+            let mut tok = self.tok_emb.infer(store, &enc.ids[..live]);
+            tok.add_assign(&self.pos_emb.infer(store, &positions));
+            tok
+        };
+        let mut x = layer_norm(&self.emb_ln, store, &sum);
+        for layer in &self.layers {
+            let res1 = {
+                let _span = explainti_obs::span!("encoder.attn");
+                let mut a = layer.mha.infer(store, &x, &mask);
+                a.add_assign(&x);
+                a
+            };
+            let h = layer_norm(&layer.ln1, store, &res1);
+            let res2 = {
+                let _span = explainti_obs::span!("encoder.ffn");
+                let mut f = layer.ff.infer(store, &h, m);
+                f.add_assign(&h);
+                f
+            };
+            x = layer_norm(&layer.ln2, store, &res2);
+        }
+        x
     }
 
-    /// Batched variant of [`Self::embed_cls`]: one shared tape per batch,
-    /// so weight snapshots amortise across the sequences (used by the
-    /// embedding-store refresh and the serving path).
+    /// `E_[CLS]` of one sequence, computed without a tape. Inference
+    /// consumes no randomness; `_rng` keeps the signature of the
+    /// training-capable entry points.
+    pub fn embed_cls(&self, store: &ParamStore, enc: &Encoded, _rng: &mut SmallRng) -> Tensor {
+        let _span = explainti_obs::span!("encoder.embed_cls");
+        self.forward_live(store, enc).rows_range(0, 1)
+    }
+
+    /// Batched [`Self::embed_cls`]: the sequences are split across the
+    /// global pool. Each sequence's result depends on that sequence
+    /// alone, so it is the same for every pool width and batch
+    /// composition.
     pub fn embed_cls_batch(
         &self,
         store: &ParamStore,
         encs: &[Encoded],
-        rng: &mut SmallRng,
+        _rng: &mut SmallRng,
     ) -> Vec<Tensor> {
         let _span = explainti_obs::span!("encoder.embed_cls_batch");
+        let embed = |chunk: &[Encoded]| -> Vec<Tensor> {
+            chunk.iter().map(|e| self.forward_live(store, e).rows_range(0, 1)).collect()
+        };
         let pool = explainti_pool::global();
         let chunks = pool.threads().min(encs.len());
         if chunks <= 1 {
-            return self.embed_cls_chunk(store, encs, rng);
+            return embed(encs);
         }
-        // Each chunk runs an independent forward on its own tape, so the
-        // per-sequence results are identical to the single-tape path (the
-        // tape only memoises read-only weight snapshots). Inference
-        // consumes no randomness — dropout is a no-op with
-        // `training = false` — so cloning the caller's RNG per chunk is
-        // observably equivalent while satisfying the pool's `Fn + Sync`
-        // closure bound.
-        let proto = rng.clone();
-        let chunk_len = encs.len().div_ceil(chunks);
-        let slices: Vec<&[Encoded]> = encs.chunks(chunk_len).collect();
+        let slices: Vec<&[Encoded]> = encs.chunks(encs.len().div_ceil(chunks)).collect();
         explainti_obs::set_gauge("encoder.batch.chunks", slices.len() as f64);
-        pool.map(slices.len(), |i| {
-            let mut rng = proto.clone();
-            self.embed_cls_chunk(store, slices[i], &mut rng)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Single-tape worker for [`Self::embed_cls_batch`]: one shared
-    /// graph per chunk so weight snapshots amortise across sequences.
-    fn embed_cls_chunk(
-        &self,
-        store: &ParamStore,
-        encs: &[Encoded],
-        rng: &mut SmallRng,
-    ) -> Vec<Tensor> {
-        let mut g = Graph::new();
-        let outs = self.forward_batch(&mut g, store, encs, false, rng);
-        outs.into_iter()
-            .map(|e| {
-                let cls = self.cls(&mut g, e);
-                g.value(cls).clone()
-            })
-            .collect()
+        pool.map(slices.len(), |i| embed(slices[i])).into_iter().flatten().collect()
     }
 
     /// Serialises only the encoder's weights (pre-trained checkpoint).
@@ -299,10 +292,16 @@ impl TransformerEncoder {
     }
 }
 
+/// One tape-free LayerNorm under its own span.
+fn layer_norm(ln: &LayerNorm, store: &ParamStore, x: &Tensor) -> Tensor {
+    let _span = explainti_obs::span!("encoder.ln");
+    ln.infer(store, x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explainti_tokenizer::{encode_column, Tokenizer};
+    use explainti_tokenizer::{encode_column, Encoded, Tokenizer};
     use rand::SeedableRng;
 
     fn setup() -> (Tokenizer, TransformerEncoder, ParamStore, SmallRng) {
@@ -377,6 +376,38 @@ mod tests {
         let parallel = enc.embed_cls_batch(&store, &encs, &mut rng);
         explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
         assert_eq!(serial, parallel, "pool width must not change embeddings");
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The tape-free forward against rows `0..len` of the tape, at a
+    /// `max_seq` the tape runs packed kernels for (16) and one it runs
+    /// the naive loop for (6), across live lengths from 1 to `max_seq`.
+    #[test]
+    fn tape_free_forward_is_bit_identical_to_the_tape() {
+        for max_seq in [16, 6] {
+            let tok = Tokenizer::train(["alpha beta gamma delta", "one two three"], 128);
+            let mut rng = SmallRng::seed_from_u64(5);
+            let mut store = ParamStore::new();
+            let cfg = EncoderConfig::bert_like(tok.vocab_size(), max_seq);
+            let enc = TransformerEncoder::new(&mut store, cfg, &mut rng);
+            for len in 1..=max_seq {
+                let vocab = tok.vocab_size();
+                let ids =
+                    (0..max_seq).map(|i| if i < len { (3 + i * 7) % vocab } else { 0 }).collect();
+                let e = Encoded { ids, len, second_start: None };
+                let mut g = Graph::new();
+                let full = enc.forward(&mut g, &store, &e, false, &mut rng);
+                let want = g.value(full).rows_range(0, len);
+                assert_eq!(
+                    bits(&enc.forward_live(&store, &e)),
+                    bits(&want),
+                    "max_seq {max_seq} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

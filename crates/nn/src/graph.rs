@@ -90,8 +90,8 @@ struct Node {
 pub struct Graph {
     nodes: Vec<Node>,
     /// Parameter snapshots already on the tape, so repeated uses of the
-    /// same weight (LE's per-window head, batched forwards) share one
-    /// node instead of re-cloning the tensor. Gradients from every use
+    /// same weight (LE's per-window head) share one node instead of
+    /// re-cloning the tensor. Gradients from every use
     /// accumulate into the shared node, which is exactly the sum the
     /// per-use nodes would have flushed individually.
     param_memo: std::collections::HashMap<ParamId, NodeId>,
@@ -178,12 +178,7 @@ impl Graph {
         assert_eq!(vb.rows(), 1, "add_row rhs must be a single row");
         assert_eq!(va.cols(), vb.cols(), "add_row column mismatch");
         let mut v = va.clone();
-        for r in 0..v.rows() {
-            let row = v.row_slice_mut(r);
-            for (x, &y) in row.iter_mut().zip(vb.as_slice()) {
-                *x += y;
-            }
-        }
+        v.add_row_assign(vb.as_slice());
         self.push(v, Op::AddRow(a, b))
     }
 
@@ -191,8 +186,8 @@ impl Graph {
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         assert_eq!(va.shape(), vb.shape(), "sub shape mismatch");
-        let data = va.as_slice().iter().zip(vb.as_slice()).map(|(&x, &y)| x - y).collect();
-        let v = Tensor::from_vec(va.rows(), va.cols(), data);
+        let mut v = va.clone();
+        v.sub_assign(vb);
         self.push(v, Op::Sub(a, b))
     }
 
@@ -224,7 +219,6 @@ impl Graph {
 
     /// Row-wise layer normalisation. `gain` and `bias` are `1 x cols` rows.
     pub fn layer_norm(&mut self, x: NodeId, gain: NodeId, bias: NodeId) -> NodeId {
-        const EPS: f32 = 1e-5;
         let vx = &self.nodes[x.0].value;
         let vg = &self.nodes[gain.0].value;
         let vb = &self.nodes[bias.0].value;
@@ -235,27 +229,23 @@ impl Graph {
         let mut out = Tensor::zeros(rows, cols);
         let mut inv_std = Vec::with_capacity(rows);
         for r in 0..rows {
-            let row = vx.row_slice(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            let xh = xhat.row_slice_mut(r);
-            let o = out.row_slice_mut(r);
-            for c in 0..cols {
-                let h = (row[c] - mean) * istd;
-                xh[c] = h;
-                o[c] = vg.as_slice()[c] * h + vb.as_slice()[c];
-            }
+            inv_std.push(crate::tensor::layer_norm_row(
+                vx.row_slice(r),
+                vg.as_slice(),
+                vb.as_slice(),
+                out.row_slice_mut(r),
+                Some(xhat.row_slice_mut(r)),
+            ));
         }
         self.push(out, Op::LayerNorm { x, gain, bias, xhat, inv_std })
     }
 
-    /// GELU activation (tanh approximation, as in BERT).
+    /// GELU activation (tanh approximation, as in BERT), on the
+    /// in-crate tanh port ([`crate::simd::gelu_into`]).
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
         let va = &self.nodes[a.0].value;
-        let data = va.as_slice().iter().map(|&x| gelu_fwd(x)).collect();
-        let v = Tensor::from_vec(va.rows(), va.cols(), data);
+        let mut v = Tensor::zeros(va.rows(), va.cols());
+        crate::simd::gelu_into(va.as_slice(), v.as_mut_slice());
         self.push(v, Op::Gelu(a))
     }
 
@@ -482,13 +472,9 @@ impl Graph {
                 }
                 Op::Gelu(a) => {
                     let vx = &self.nodes[a.0].value;
-                    let data = grad
-                        .as_slice()
-                        .iter()
-                        .zip(vx.as_slice())
-                        .map(|(&g, &x)| g * gelu_bwd(x))
-                        .collect();
-                    deltas.push((*a, Tensor::from_vec(grad.rows(), grad.cols(), data)));
+                    let mut da = Tensor::zeros(grad.rows(), grad.cols());
+                    crate::simd::gelu_grad_into(vx.as_slice(), grad.as_slice(), da.as_mut_slice());
+                    deltas.push((*a, da));
                 }
                 Op::Relu(a) => {
                     let vx = &self.nodes[a.0].value;
@@ -627,21 +613,6 @@ impl Graph {
 #[inline]
 fn sigmoid_fwd(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-const GELU_A: f32 = 0.044_715;
-
-#[inline]
-fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh())
-}
-
-#[inline]
-fn gelu_bwd(x: f32) -> f32 {
-    let u = GELU_C * (x + GELU_A * x * x * x);
-    let t = u.tanh();
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 }
 
 #[cfg(test)]

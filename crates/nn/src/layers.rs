@@ -3,10 +3,17 @@
 //! Each module registers its parameters in a [`ParamStore`] at construction
 //! and replays them onto the tape with `forward`. This mirrors the usual
 //! deep-learning module pattern while keeping ownership with the store.
+//!
+//! Inference skips the tape: `infer` reads the store's weights in place
+//! and runs the same kernels in the same order as `forward`, so its
+//! outputs are bit-identical to the tape's values. Linear layers may be
+//! given only some rows of an `m`-row input (the live rows of a padded
+//! sequence) and still pick every kernel by `m`, the row count the tape
+//! sees.
 
 use crate::graph::{Graph, NodeId};
 use crate::params::{ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{layer_norm_row, matmul_rows_into, softmax_into, Tensor};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -50,6 +57,17 @@ impl Linear {
         let xw = g.matmul(x, w);
         g.add_row(xw, b)
     }
+
+    /// Tape-free [`Self::forward`] for the rows of `x`, which are some
+    /// rows of an `m`-row input: the kernel is the one `forward` runs on
+    /// all `m` rows, fed the store's cached `Wᵀ` where it packs.
+    pub fn infer(&self, store: &ParamStore, x: &Tensor, m: usize) -> Tensor {
+        let w = store.value(self.w);
+        let mut y = Tensor::zeros(x.rows(), w.cols());
+        matmul_rows_into(x.as_slice(), m, w, store.transposed(self.w), y.as_mut_slice());
+        y.add_row_assign(store.value(self.b).as_slice());
+        y
+    }
 }
 
 /// Token embedding table.
@@ -88,6 +106,17 @@ impl Embedding {
         let table = g.param(store, self.table);
         g.embedding(table, ids)
     }
+
+    /// Tape-free [`Self::forward`]: the `ids.len() x dim` gathered rows.
+    pub fn infer(&self, store: &ParamStore, ids: &[usize]) -> Tensor {
+        let table = store.value(self.table);
+        let mut out = Tensor::zeros(ids.len(), self.dim);
+        for (r, &id) in ids.iter().enumerate() {
+            assert!(id < table.rows(), "embedding id {id} out of range {}", table.rows());
+            out.row_slice_mut(r).copy_from_slice(table.row_slice(id));
+        }
+        out
+    }
 }
 
 /// Layer normalisation with learned gain and bias.
@@ -110,6 +139,16 @@ impl LayerNorm {
         let gain = g.param(store, self.gain);
         let bias = g.param(store, self.bias);
         g.layer_norm(x, gain, bias)
+    }
+
+    /// Tape-free [`Self::forward`].
+    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
+        let (gain, bias) = (store.value(self.gain).as_slice(), store.value(self.bias).as_slice());
+        let mut out = Tensor::zeros(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            layer_norm_row(x.row_slice(r), gain, bias, out.row_slice_mut(r), None);
+        }
+        out
     }
 }
 
@@ -168,6 +207,15 @@ impl FeedForward {
         let h = self.fc1.forward(g, store, x);
         let a = g.gelu(h);
         self.fc2.forward(g, store, a)
+    }
+
+    /// Tape-free [`Self::forward`] for some rows of an `m`-row input
+    /// (see [`Linear::infer`]).
+    pub fn infer(&self, store: &ParamStore, x: &Tensor, m: usize) -> Tensor {
+        let h = self.fc1.infer(store, x, m);
+        let mut a = Tensor::zeros(h.rows(), h.cols());
+        crate::simd::gelu_into(h.as_slice(), a.as_mut_slice());
+        self.fc2.infer(store, &a, m)
     }
 }
 
@@ -251,6 +299,62 @@ impl MultiHeadAttention {
             merged = g.concat_cols(merged, h);
         }
         self.wo.forward(g, store, merged)
+    }
+
+    /// Tape-free masked self-attention for the first `x.rows()` positions of a
+    /// `pad_mask.len()`-position sequence whose later positions are all
+    /// padding, bit-identical to those rows of
+    /// [`Self::forward`] on the full sequence:
+    /// * a padding key's score is its mask entry (−1e9) instead of the
+    ///   tape's `score + mask`; the row maximum is a live key's either
+    ///   way, so the padding's softmax weight is exactly +0 in both;
+    /// * `P·V` still reduces over every key, against zero rows of `V`
+    ///   for the padding, so the reduction order (and thus every bit) is
+    ///   the full-length product's: a +0 weight times any finite value
+    ///   adds nothing to an accumulator that starts at +0.
+    pub fn infer(&self, store: &ParamStore, x: &Tensor, pad_mask: &[f32]) -> Tensor {
+        let (live, m, hd) = (x.rows(), pad_mask.len(), self.head_dim);
+        assert!(live <= m, "more live rows ({live}) than sequence positions ({m})");
+        assert!(
+            pad_mask[live..].iter().all(|&v| v < 0.0),
+            "positions past the live rows must be masked"
+        );
+        let q = self.wq.infer(store, x, m);
+        let k = self.wk.infer(store, x, m);
+        let v = self.wv.infer(store, x, m);
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut kh = vec![0.0; live * hd];
+        let mut vh = Tensor::zeros(m, hd);
+        let mut scores = vec![0.0; m];
+        let mut probs = Tensor::zeros(live, m);
+        let mut head_out = vec![0.0; live * hd];
+        let mut merged = Tensor::zeros(live, self.heads * hd);
+        for h in 0..self.heads {
+            let cols = h * hd..(h + 1) * hd;
+            for j in 0..live {
+                kh[j * hd..(j + 1) * hd].copy_from_slice(&k.row_slice(j)[cols.clone()]);
+                vh.row_slice_mut(j).copy_from_slice(&v.row_slice(j)[cols.clone()]);
+            }
+            for i in 0..live {
+                crate::simd::row_times_rows(
+                    &q.row_slice(i)[cols.clone()],
+                    &kh,
+                    hd,
+                    &mut scores[..live],
+                );
+                for (s, &mask) in scores[..live].iter_mut().zip(pad_mask) {
+                    *s = *s * scale + mask;
+                }
+                scores[live..].copy_from_slice(&pad_mask[live..]);
+                softmax_into(&scores, probs.row_slice_mut(i));
+            }
+            matmul_rows_into(probs.as_slice(), m, &vh, &vh.transpose(), &mut head_out);
+            for i in 0..live {
+                merged.row_slice_mut(i)[cols.clone()]
+                    .copy_from_slice(&head_out[i * hd..(i + 1) * hd]);
+            }
+        }
+        self.wo.infer(store, &merged, m)
     }
 }
 

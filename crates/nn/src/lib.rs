@@ -47,4 +47,4 @@ pub use layers::{Dropout, Embedding, FeedForward, LayerNorm, Linear, MultiHeadAt
 pub use optim::{AdamW, LinearSchedule, Sgd};
 pub use params::{ParamId, ParamStore};
 pub use simd::SimdTier;
-pub use tensor::{kl_divergence, softmax, softmax_into, Tensor};
+pub use tensor::{kl_divergence, mean_rows_into, softmax, softmax_into, Tensor};

@@ -8,6 +8,7 @@
 use crate::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Handle to one parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,6 +24,10 @@ struct Param {
     v: Tensor,
     /// Parameters such as layer-norm gains and biases skip weight decay.
     decay: bool,
+    /// `valueᵀ`, the packed panel the tape-free forward multiplies by:
+    /// built on first use and dropped by every method that can change
+    /// `value`, so it always matches the current weights.
+    transposed: OnceLock<Tensor>,
 }
 
 /// Owns every trainable tensor of a model.
@@ -52,6 +57,7 @@ impl ParamStore {
             m: Tensor::zeros(r, c),
             v: Tensor::zeros(r, c),
             decay,
+            transposed: OnceLock::new(),
         });
         ParamId(self.params.len() - 1)
     }
@@ -127,7 +133,15 @@ impl ParamStore {
 
     /// Mutable value (used by weight loading).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.params[id.0].value
+        let p = &mut self.params[id.0];
+        p.transposed.take();
+        &mut p.value
+    }
+
+    /// The current value's transpose, cached until the value changes.
+    pub fn transposed(&self, id: ParamId) -> &Tensor {
+        let p = &self.params[id.0];
+        p.transposed.get_or_init(|| p.value.transpose())
     }
 
     /// Accumulated gradient.
@@ -173,6 +187,7 @@ impl ParamStore {
         id: ParamId,
     ) -> (&mut Tensor, &mut Tensor, &mut Tensor, &Tensor, bool) {
         let p = &mut self.params[id.0];
+        p.transposed.take();
         (&mut p.value, &mut p.m, &mut p.v, &p.grad, p.decay)
     }
 
@@ -210,6 +225,7 @@ impl ParamStore {
         let mut offset = 0;
         for p in &mut self.params {
             let n = p.value.len();
+            p.transposed.take();
             p.value.as_mut_slice().copy_from_slice(&flat[offset..offset + n]);
             offset += n;
         }
@@ -262,6 +278,20 @@ mod tests {
         }
         s.load_flat(&snapshot);
         assert_eq!(s.to_flat(), before);
+    }
+
+    #[test]
+    fn transpose_cache_follows_every_weight_change() {
+        let mut s = ParamStore::new();
+        let id = s.add("w", Tensor::from_vec(1, 2, vec![1.0, 2.0]));
+        assert_eq!(s.transposed(id).as_slice(), &[1.0, 2.0]);
+        assert_eq!(s.transposed(id).shape(), (2, 1));
+        s.value_mut(id).as_mut_slice()[0] = 5.0;
+        assert_eq!(s.transposed(id).as_slice(), &[5.0, 2.0]);
+        s.load_flat(&[7.0, 8.0]);
+        assert_eq!(s.transposed(id).as_slice(), &[7.0, 8.0]);
+        s.adam_state_mut(id).0.as_mut_slice()[1] = 9.0;
+        assert_eq!(s.transposed(id).as_slice(), &[7.0, 9.0]);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! multiply + add (never FMA, which fuses the rounding step) and reduces
 //! its 8 lane accumulators in exactly the same tree order as the scalar
 //! fallback (`half[l] = acc[l] + acc[l+4]`, then
-//! `(half0+half1) + (half2+half3)`, then `+ tail`).
+//! `(half0+half1) + (half2+half3)`, then `+ tail`). The tanh and GELU
+//! kernels hold the same contract against [`tanh_scalar`], a port of
+//! fdlibm's `tanhf` that GELU uses instead of the host libm.
 //!
 //! Dispatch is decided once per process by [`tier`] (runtime
 //! `is_x86_feature_detected!`, overridable via the `EXPLAINTI_NO_SIMD`
@@ -681,6 +683,391 @@ unsafe fn reduce8_avx2(vacc: std::arch::x86_64::__m256) -> f32 {
     let p = _mm_hadd_ps(h, h);
     let s = _mm_hadd_ps(p, p);
     _mm_cvtss_f32(s)
+}
+
+// ---------------------------------------------------------------------------
+// tanh and GELU: fdlibm's tanhf/expm1f, so no result depends on the host libm.
+// ---------------------------------------------------------------------------
+
+/// `ln2` split so `k·LN2_HI` is exact for the `k` expm1f produces.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
+/// fdlibm's scaled coefficients of the expm1f rational approximation.
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+
+/// Adds `k` to the binary exponent of `y` (fdlibm's `SET_FLOAT_WORD(y,
+/// i + (k << 23))`); no caller can leave the normal range.
+fn add_exponent(y: f32, k: i32) -> f32 {
+    f32::from_bits((y.to_bits() as i32).wrapping_add(k << 23) as u32)
+}
+
+/// fdlibm `expm1f` over the arguments [`tanh_scalar`] passes it: `y =
+/// 2|x| ∈ [2, 44)` or `y = −2|x| ∈ (−2, −2⁻⁵⁴]`. The port keeps only the
+/// branches those arguments reach (no overflow, no `k = 1`, no
+/// saturation to −1); every operation is a separately rounded f32 step in
+/// the C source's order.
+fn expm1_scalar(y: f32) -> f32 {
+    let hy = y.to_bits() & 0x7fff_ffff;
+    let neg = y.is_sign_negative();
+    // Argument reduction: y = k·ln2 + r, r ∈ [−ln2/2, ln2/2], with `c`
+    // the rounding error of `r = hi − lo`.
+    let (k, r, c) = if hy > 0x3eb1_7218 {
+        // |y| > ln2/2
+        let (k, hi, lo) = if hy < 0x3f85_1592 {
+            // |y| < 3·ln2/2, and tanhf only passes negative y here.
+            (-1, y + LN2_HI, -LN2_LO)
+        } else {
+            let k = (INV_LN2 * y + if neg { -0.5 } else { 0.5 }) as i32;
+            let t = k as f32;
+            (k, y - t * LN2_HI, t * LN2_LO)
+        };
+        let r = hi - lo;
+        (k, r, (hi - r) - lo)
+    } else if hy < 0x3300_0000 {
+        // |y| < 2⁻²⁵: expm1(y) rounds to y.
+        return y;
+    } else {
+        (0, y, 0.0)
+    };
+    let hfx = 0.5 * r;
+    let hxs = r * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - r * t));
+    if k == 0 {
+        return r - (r * e - hxs);
+    }
+    let e = (r * (e - c) - c) - hxs;
+    if k == -1 {
+        0.5 * (r - e) - 0.5
+    } else if k <= -2 || k > 56 {
+        add_exponent(1.0 - (e - r), k) - 1.0
+    } else if k < 23 {
+        let t = f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k)); // 1 − 2⁻ᵏ
+        add_exponent(t - (e - r), k)
+    } else {
+        let t = f32::from_bits(((0x7f - k) << 23) as u32); // 2⁻ᵏ
+        add_exponent(r - (e + t) + 1.0, k)
+    }
+}
+
+/// Scalar port of fdlibm's `tanhf` (glibc's `sysdeps/ieee754/flt-32`
+/// implementation): on a glibc host it returns `f32::tanh`'s bits for
+/// every input, which an exhaustive 2³² comparison checks.
+pub fn tanh_scalar(x: f32) -> f32 {
+    let jx = x.to_bits();
+    let ix = jx & 0x7fff_ffff;
+    let positive = jx & 0x8000_0000 == 0;
+    if ix >= 0x7f80_0000 {
+        // ±inf → ±1, NaN → NaN.
+        return if positive { 1.0 / x + 1.0 } else { 1.0 / x - 1.0 };
+    }
+    let z = if ix < 0x41b0_0000 {
+        // |x| < 22
+        if ix == 0 {
+            return x;
+        }
+        if ix < 0x2400_0000 {
+            // |x| < 2⁻⁵⁵
+            return x * (1.0 + x);
+        }
+        if ix >= 0x3f80_0000 {
+            // |x| ≥ 1
+            let t = expm1_scalar(2.0 * x.abs());
+            1.0 - 2.0 / (t + 2.0)
+        } else {
+            let t = expm1_scalar(-2.0 * x.abs());
+            -t / (t + 2.0)
+        }
+    } else {
+        // |x| ≥ 22: fdlibm's `one − tiny` rounds to 1.
+        1.0
+    };
+    if positive {
+        z
+    } else {
+        -z
+    }
+}
+
+/// `tanh` of every element of `xs` into `out` on the dispatched arm;
+/// bitwise equal to [`tanh_scalar`] on every arm.
+pub fn tanh_into(xs: &[f32], out: &mut [f32]) {
+    assert_eq!(xs.len(), out.len(), "tanh_into length mismatch");
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => {
+            // SAFETY: tier() returned Avx2 only after runtime detection.
+            unsafe { tanh_into_avx2(xs, out) }
+        }
+        _ => {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = tanh_scalar(x);
+            }
+        }
+    }
+}
+
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+const GELU_A: f32 = 0.044_715;
+
+/// GELU (tanh approximation, as in BERT) of one element:
+/// `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
+pub fn gelu_scalar(x: f32) -> f32 {
+    0.5 * x * (1.0 + tanh_scalar(GELU_C * (x + GELU_A * x * x * x)))
+}
+
+/// d GELU / dx at `x`, scaled by the upstream gradient `g`.
+pub fn gelu_grad_scalar(x: f32, g: f32) -> f32 {
+    let t = tanh_scalar(GELU_C * (x + GELU_A * x * x * x));
+    g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x))
+}
+
+/// GELU of every element of `xs` into `out`; bitwise equal to
+/// [`gelu_scalar`] on every arm.
+pub fn gelu_into(xs: &[f32], out: &mut [f32]) {
+    assert_eq!(xs.len(), out.len(), "gelu_into length mismatch");
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => {
+            // SAFETY: tier() returned Avx2 only after runtime detection.
+            unsafe { gelu_into_avx2(xs, out) }
+        }
+        _ => {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = gelu_scalar(x);
+            }
+        }
+    }
+}
+
+/// GELU's backward: `out[i] = grads[i] · gelu'(xs[i])`; bitwise equal to
+/// [`gelu_grad_scalar`] on every arm.
+pub fn gelu_grad_into(xs: &[f32], grads: &[f32], out: &mut [f32]) {
+    assert_eq!(xs.len(), out.len(), "gelu_grad_into length mismatch");
+    assert_eq!(grads.len(), out.len(), "gelu_grad_into length mismatch");
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => {
+            // SAFETY: tier() returned Avx2 only after runtime detection.
+            unsafe { gelu_grad_into_avx2(xs, grads, out) }
+        }
+        _ => {
+            for ((o, &x), &g) in out.iter_mut().zip(xs).zip(grads) {
+                *o = gelu_grad_scalar(x, g);
+            }
+        }
+    }
+}
+
+/// Eight lanes of [`expm1_scalar`]: every branch is evaluated on all
+/// lanes with the scalar port's operations (separate mul + add, never
+/// FMA) and each lane keeps the result of the branch its own `k` selects.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available; pure register math.
+unsafe fn expm1_avx2(y: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let one = _mm256_set1_ps(1.0);
+    let half = _mm256_set1_ps(0.5);
+    let sign = _mm256_set1_ps(-0.0);
+    let hy = _mm256_castps_si256(_mm256_andnot_ps(sign, y));
+    let reduce = _mm256_cmpgt_epi32(hy, _mm256_set1_epi32(0x3eb1_7218));
+    let near = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3f85_1592), hy);
+    let near_ps = _mm256_castsi256_ps(near);
+    let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3300_0000), hy);
+    // General reduction: k = trunc(y/ln2 ± 0.5), the sign taken from y.
+    let bias = _mm256_blendv_ps(half, _mm256_set1_ps(-0.5), y);
+    let kg = _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(INV_LN2), y), bias));
+    let tg = _mm256_cvtepi32_ps(kg);
+    let hi_g = _mm256_sub_ps(y, _mm256_mul_ps(tg, _mm256_set1_ps(LN2_HI)));
+    let lo_g = _mm256_mul_ps(tg, _mm256_set1_ps(LN2_LO));
+    // |y| < 3·ln2/2: k = −1.
+    let hi = _mm256_blendv_ps(hi_g, _mm256_add_ps(y, _mm256_set1_ps(LN2_HI)), near_ps);
+    let lo = _mm256_blendv_ps(lo_g, _mm256_set1_ps(-LN2_LO), near_ps);
+    let k = _mm256_blendv_epi8(kg, _mm256_set1_epi32(-1), near);
+    let rr = _mm256_sub_ps(hi, lo);
+    let cr = _mm256_sub_ps(_mm256_sub_ps(hi, rr), lo);
+    // |y| ≤ ln2/2: k = 0, r = y.
+    let k = _mm256_and_si256(k, reduce);
+    let r = _mm256_blendv_ps(y, rr, _mm256_castsi256_ps(reduce));
+    let c = _mm256_and_ps(cr, _mm256_castsi256_ps(reduce));
+
+    let hfx = _mm256_mul_ps(half, r);
+    let hxs = _mm256_mul_ps(r, hfx);
+    let mut p = _mm256_mul_ps(hxs, _mm256_set1_ps(Q5));
+    p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(Q4), p));
+    p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(Q3), p));
+    p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(Q2), p));
+    p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(Q1), p));
+    let r1 = _mm256_add_ps(one, p);
+    let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
+    let e = _mm256_mul_ps(
+        hxs,
+        _mm256_div_ps(
+            _mm256_sub_ps(r1, t),
+            _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(r, t)),
+        ),
+    );
+    let out_k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+    let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+    let out_m1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(r, e)), half);
+    let kexp = _mm256_slli_epi32::<23>(k);
+    let add_exp = |v: __m256| _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(v), kexp));
+    let e_minus_r = _mm256_sub_ps(e, r);
+    let out_far = _mm256_sub_ps(add_exp(_mm256_sub_ps(one, e_minus_r)), one);
+    let t_lt23 = _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x3f80_0000),
+        _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
+    ));
+    let out_lt23 = add_exp(_mm256_sub_ps(t_lt23, e_minus_r));
+    let t_ge23 =
+        _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k)));
+    let out_ge23 = add_exp(_mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(e, t_ge23)), one));
+
+    // Select per lane in the scalar port's branch order, last wins.
+    let is = |m: __m256i| _mm256_castsi256_ps(m);
+    let k_lt23 = _mm256_cmpgt_epi32(_mm256_set1_epi32(23), k);
+    let k_far = _mm256_or_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+        _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
+    );
+    let mut out = _mm256_blendv_ps(out_ge23, out_lt23, is(k_lt23));
+    out = _mm256_blendv_ps(out, out_far, is(k_far));
+    out = _mm256_blendv_ps(out, out_m1, is(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1))));
+    out = _mm256_blendv_ps(out, out_k0, is(_mm256_cmpeq_epi32(k, _mm256_setzero_si256())));
+    _mm256_blendv_ps(out, y, is(tiny))
+}
+
+/// Eight lanes of [`tanh_scalar`], branch-free like [`expm1_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available; pure register math.
+unsafe fn tanh_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let one = _mm256_set1_ps(1.0);
+    let two = _mm256_set1_ps(2.0);
+    let sign = _mm256_set1_ps(-0.0);
+    let ax = _mm256_andnot_ps(sign, x);
+    let xsign = _mm256_and_ps(sign, x);
+    let ix = _mm256_castps_si256(ax);
+    let big = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7f_ffff)));
+    // y = 2|x| for |x| ≥ 1, −2|x| below (both exact).
+    let y2 = _mm256_mul_ps(two, ax);
+    let y = _mm256_blendv_ps(_mm256_or_ps(y2, sign), y2, big);
+    // SAFETY: AVX2 is enabled in this target_feature context.
+    let t = unsafe { expm1_avx2(y) };
+    // One division serves both branches: 1 − 2/(t+2) and −t/(t+2).
+    let num = _mm256_blendv_ps(_mm256_xor_ps(t, sign), two, big);
+    let q = _mm256_div_ps(num, _mm256_add_ps(t, two));
+    let z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), big);
+    let z = _mm256_blendv_ps(
+        z,
+        one,
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x41af_ffff))),
+    );
+    let mut out = _mm256_xor_ps(z, xsign);
+    // |x| < 2⁻⁵⁵ (±0 included): x·(1 + x).
+    let small = _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(0x2400_0000), ix));
+    out = _mm256_blendv_ps(out, _mm256_mul_ps(x, _mm256_add_ps(one, x)), small);
+    // ±inf and NaN: 1/x ± 1, only paid for when a lane needs it.
+    let special = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f7f_ffff));
+    if _mm256_movemask_ps(_mm256_castsi256_ps(special)) != 0 {
+        let inv = _mm256_div_ps(one, x);
+        let inf = _mm256_blendv_ps(_mm256_add_ps(inv, one), _mm256_sub_ps(inv, one), xsign);
+        out = _mm256_blendv_ps(out, inf, _mm256_castsi256_ps(special));
+    }
+    out
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available and xs.len() == out.len().
+unsafe fn tanh_into_avx2(xs: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let n = xs.len().min(out.len());
+    let chunks = n / 8;
+    let (xp, op) = (xs.as_ptr(), out.as_mut_ptr());
+    for c in 0..chunks {
+        let off = c * 8;
+        // SAFETY: off + 7 < n <= both lengths; unaligned loads/stores in
+        // bounds, and xs/out never alias (&/&mut).
+        unsafe { _mm256_storeu_ps(op.add(off), tanh_avx2(_mm256_loadu_ps(xp.add(off)))) };
+    }
+    for i in chunks * 8..n {
+        out[i] = tanh_scalar(xs[i]);
+    }
+}
+
+/// `u = √(2/π)·(x + 0.044715·x³)` in [`gelu_scalar`]'s operation order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available; pure register math.
+unsafe fn gelu_arg_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let cube = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_A), x), x), x);
+    _mm256_mul_ps(_mm256_set1_ps(GELU_C), _mm256_add_ps(x, cube))
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available and xs.len() == out.len().
+unsafe fn gelu_into_avx2(xs: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let n = xs.len().min(out.len());
+    let chunks = n / 8;
+    let (xp, op) = (xs.as_ptr(), out.as_mut_ptr());
+    let half = _mm256_set1_ps(0.5);
+    let one = _mm256_set1_ps(1.0);
+    for c in 0..chunks {
+        let off = c * 8;
+        // SAFETY: off + 7 < n <= xs.len(); unaligned in-bounds load.
+        let x = unsafe { _mm256_loadu_ps(xp.add(off)) };
+        // SAFETY: AVX2 is enabled in this target_feature context.
+        let t = unsafe { tanh_avx2(gelu_arg_avx2(x)) };
+        let y = _mm256_mul_ps(_mm256_mul_ps(half, x), _mm256_add_ps(one, t));
+        // SAFETY: off + 7 < n <= out.len(); out does not alias xs.
+        unsafe { _mm256_storeu_ps(op.add(off), y) };
+    }
+    for i in chunks * 8..n {
+        out[i] = gelu_scalar(xs[i]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available and all three slices share one length.
+unsafe fn gelu_grad_into_avx2(xs: &[f32], grads: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let n = xs.len().min(grads.len()).min(out.len());
+    let chunks = n / 8;
+    let (xp, gp, op) = (xs.as_ptr(), grads.as_ptr(), out.as_mut_ptr());
+    let half = _mm256_set1_ps(0.5);
+    let one = _mm256_set1_ps(1.0);
+    let c3a = _mm256_set1_ps(3.0 * GELU_A);
+    for c in 0..chunks {
+        let off = c * 8;
+        // SAFETY: off + 7 < n <= every slice's length; in-bounds loads.
+        let (x, g) = unsafe { (_mm256_loadu_ps(xp.add(off)), _mm256_loadu_ps(gp.add(off))) };
+        // SAFETY: AVX2 is enabled in this target_feature context.
+        let t = unsafe { tanh_avx2(gelu_arg_avx2(x)) };
+        let left = _mm256_mul_ps(half, _mm256_add_ps(one, t));
+        let mut right =
+            _mm256_mul_ps(_mm256_mul_ps(half, x), _mm256_sub_ps(one, _mm256_mul_ps(t, t)));
+        right = _mm256_mul_ps(right, _mm256_set1_ps(GELU_C));
+        right = _mm256_mul_ps(right, _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(c3a, x), x)));
+        let y = _mm256_mul_ps(g, _mm256_add_ps(left, right));
+        // SAFETY: off + 7 < n <= out.len(); out aliases neither input.
+        unsafe { _mm256_storeu_ps(op.add(off), y) };
+    }
+    for i in chunks * 8..n {
+        out[i] = gelu_grad_scalar(xs[i], grads[i]);
+    }
 }
 
 #[cfg(test)]

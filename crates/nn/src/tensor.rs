@@ -295,7 +295,7 @@ impl Tensor {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        if self.rows < PACK_MIN || other.cols == 0 {
+        if !packs(self.rows, other.cols) {
             return self.matmul_naive(other);
         }
         note_dispatch();
@@ -304,29 +304,8 @@ impl Tensor {
         let mut out = Tensor::zeros(self.rows, n);
         let flops = self.rows * self.cols * n;
         let k = self.cols;
-        let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
-            paired_rows(
-                rows_out,
-                n,
-                |bi, out_row| {
-                    crate::simd::row_times_rows(
-                        self.row_slice(start + bi),
-                        bt.as_slice(),
-                        k,
-                        out_row,
-                    )
-                },
-                |bi, out0, out1| {
-                    crate::simd::rows2_times_rows(
-                        self.row_slice(start + bi),
-                        self.row_slice(start + bi + 1),
-                        bt.as_slice(),
-                        k,
-                        out0,
-                        out1,
-                    )
-                },
-            );
+        let body = |start: usize, end: usize, rows_out: &mut [f32]| {
+            packed_rows_into(&self.data[start * k..end * k], k, bt.as_slice(), n, rows_out)
         };
         match pool {
             Some(p) => for_row_blocks_in(p, self.rows, n, &mut out.data, body),
@@ -345,20 +324,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        let n = other.cols;
-        for i in 0..self.rows {
-            let a_row = self.row_slice(i);
-            let out_row = out.row_slice_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * n..k * n + n];
-                for j in 0..n {
-                    out_row[j] += a * b_row[j];
-                }
-            }
-        }
+        naive_rows_into(&self.data, self.cols, other, &mut out.data);
         out
     }
 
@@ -459,29 +425,8 @@ impl Tensor {
         note_dispatch();
         let flops = self.rows * self.cols * n;
         let k = self.cols;
-        let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
-            paired_rows(
-                rows_out,
-                n,
-                |bi, out_row| {
-                    crate::simd::row_times_rows(
-                        self.row_slice(start + bi),
-                        other.as_slice(),
-                        k,
-                        out_row,
-                    )
-                },
-                |bi, out0, out1| {
-                    crate::simd::rows2_times_rows(
-                        self.row_slice(start + bi),
-                        self.row_slice(start + bi + 1),
-                        other.as_slice(),
-                        k,
-                        out0,
-                        out1,
-                    )
-                },
-            );
+        let body = |start: usize, end: usize, rows_out: &mut [f32]| {
+            packed_rows_into(&self.data[start * k..end * k], k, other.as_slice(), n, rows_out)
         };
         match pool {
             Some(p) => for_row_blocks_in(p, self.rows, n, &mut out.data, body),
@@ -533,6 +478,24 @@ impl Tensor {
         }
     }
 
+    /// Element-wise in-place subtraction.
+    pub fn sub_assign(&mut self, other: &Tensor) {
+        assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a -= b;
+        }
+    }
+
+    /// Adds the `1 x cols` row `row` to every row in place.
+    pub fn add_row_assign(&mut self, row: &[f32]) {
+        assert_eq!(self.cols, row.len(), "add_row column mismatch");
+        for r in 0..self.rows {
+            for (x, &y) in self.row_slice_mut(r).iter_mut().zip(row) {
+                *x += y;
+            }
+        }
+    }
+
     /// Element-wise in-place scaling.
     pub fn scale_assign(&mut self, s: f32) {
         for a in &mut self.data {
@@ -551,17 +514,7 @@ impl Tensor {
     /// Column-wise mean, producing a `1 x cols` row.
     pub fn mean_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
-        if self.rows == 0 {
-            return out;
-        }
-        for r in 0..self.rows {
-            let row = self.row_slice(r);
-            for (o, &v) in out.data.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        let inv = 1.0 / self.rows as f32;
-        out.scale_assign(inv);
+        mean_rows_into(&self.data, self.cols, &mut out.data);
         out
     }
 
@@ -616,6 +569,116 @@ impl Tensor {
         }
         best
     }
+}
+
+/// Whether [`Tensor::matmul`] packs `Bᵀ` for an `m`-row `A` and an
+/// `n`-column `B`; below [`PACK_MIN`] rows it runs the naive loop.
+fn packs(m: usize, n: usize) -> bool {
+    m >= PACK_MIN && n != 0
+}
+
+/// Rows of `A·B` into `out`, where `a` holds some rows of an `m`-row `A`,
+/// with the kernel [`Tensor::matmul`] picks for the whole `m`-row product.
+/// Each output row depends on its own input row alone, so computing a
+/// subset of the rows leaves every computed bit unchanged. `bt` must be
+/// `Bᵀ` (it is read only when the product packs).
+pub(crate) fn matmul_rows_into(a: &[f32], m: usize, b: &Tensor, bt: &Tensor, out: &mut [f32]) {
+    let (k, n) = b.shape();
+    assert_eq!(bt.shape(), (n, k), "matmul_rows_into: bt must be bᵀ");
+    assert_eq!(a.len() / k.max(1) * n, out.len(), "matmul_rows_into output shape");
+    if packs(m, n) {
+        note_dispatch();
+        packed_rows_into(a, k, bt.as_slice(), n, out);
+    } else {
+        out.fill(0.0);
+        naive_rows_into(a, k, b, out);
+    }
+}
+
+/// Rows of `A·B` by the packed kernel: every output element is a
+/// fixed-order [`crate::simd::dot`] of an `A` row (length `k`) and a row
+/// of the packed panel `bt`; rows go through the paired kernel two at a
+/// time, which changes memory traffic, never bits.
+fn packed_rows_into(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+    let row = |i: usize| &a[i * k..(i + 1) * k];
+    paired_rows(
+        out,
+        n,
+        |i, out_row| crate::simd::row_times_rows(row(i), bt, k, out_row),
+        |i, out0, out1| crate::simd::rows2_times_rows(row(i), row(i + 1), bt, k, out0, out1),
+    );
+}
+
+/// Rows of `A·B` by the naive i-k-j axpy loop, skipping zero `A`
+/// entries; accumulates into `out`, which the caller zeroes.
+fn naive_rows_into(a: &[f32], k: usize, b: &Tensor, out: &mut [f32]) {
+    let n = b.cols;
+    if n == 0 {
+        return;
+    }
+    for (a_row, out_row) in a.chunks_exact(k.max(1)).zip(out.chunks_exact_mut(n)) {
+        for (kk, &x) in a_row.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let b_row = &b.data[kk * n..kk * n + n];
+            for j in 0..n {
+                out_row[j] += x * b_row[j];
+            }
+        }
+    }
+}
+
+/// Column-wise mean of the `cols`-wide rows of `data` into `out`: rows
+/// summed in order, then scaled by `1/rows`. Zero rows leave `out` zero.
+pub fn mean_rows_into(data: &[f32], cols: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), cols, "mean_rows_into output width");
+    out.fill(0.0);
+    if data.is_empty() || cols == 0 {
+        return;
+    }
+    for row in data.chunks_exact(cols) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+    let inv = 1.0 / (data.len() / cols) as f32;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
+}
+
+/// Layer-normalises one row into `out`: `gain·x̂ + bias` with `x̂ = (x −
+/// mean)/σ`, `σ = √(var + 1e-5)`. Writes `x̂` into `xhat` when given
+/// (the tape keeps it for the backward pass) and returns `1/σ`.
+pub(crate) fn layer_norm_row(
+    row: &[f32],
+    gain: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    xhat: Option<&mut [f32]>,
+) -> f32 {
+    const EPS: f32 = 1e-5;
+    let cols = row.len();
+    assert!(gain.len() == cols && bias.len() == cols && out.len() == cols, "layer_norm width");
+    let mean = row.iter().sum::<f32>() / cols as f32;
+    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+    let istd = 1.0 / (var + EPS).sqrt();
+    match xhat {
+        Some(xh) => {
+            for c in 0..cols {
+                let h = (row[c] - mean) * istd;
+                xh[c] = h;
+                out[c] = gain[c] * h + bias[c];
+            }
+        }
+        None => {
+            for c in 0..cols {
+                out[c] = gain[c] * ((row[c] - mean) * istd) + bias[c];
+            }
+        }
+    }
+    istd
 }
 
 /// Numerically stable softmax of a slice, written into `out`.

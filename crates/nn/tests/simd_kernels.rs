@@ -200,3 +200,88 @@ fn forced_fallback_arm_matches_packed_scalar_reference() {
         }
     }
 }
+
+/// Inputs on both sides of every branch threshold of fdlibm's
+/// `tanhf`/`expm1f` (as `|x|` bit patterns), with their negations, plus
+/// ±0, subnormals, ±inf and NaNs.
+fn tanh_edge_inputs() -> Vec<f32> {
+    const THRESHOLDS: [u32; 7] = [
+        0x2400_0000, // |x| < 2⁻⁵⁵: tanh(x) = x·(1 + x)
+        0x3300_0000, // expm1: |y| < 2⁻²⁵ returns y
+        0x3eb1_7218, // expm1: |y| > ln2/2 reduces the argument
+        0x3f80_0000, // |x| ≥ 1 takes the expm1(2|x|) branch
+        0x3f85_1592, // expm1: |y| < 3·ln2/2 uses k = ±1
+        0x4195_b844, // expm1: |y| ≥ 27·ln2
+        0x41b0_0000, // |x| ≥ 22: tanh(x) = ±1
+    ];
+    let mut bits = vec![0, 1, 2, 0x007f_ffff, 0x0080_0000, 0x7f7f_ffff, 0x7f80_0000];
+    bits.extend([0x7f80_0001, 0x7fc0_0000, 0x7fff_ffff]);
+    for t in THRESHOLDS {
+        bits.extend((t - 3)..=(t + 3));
+    }
+    let mut out: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+    out.extend(bits.iter().map(|&b| f32::from_bits(b | 0x8000_0000)));
+    out
+}
+
+fn assert_tanh_arms_agree(xs: &[f32]) {
+    let mut got = vec![0.0f32; xs.len()];
+    simd::tanh_into(xs, &mut got);
+    for (&x, &y) in xs.iter().zip(&got) {
+        let want = simd::tanh_scalar(x);
+        assert_eq!(y.to_bits(), want.to_bits(), "tanh({x:e} = {:#010x})", x.to_bits());
+    }
+}
+
+#[test]
+fn tanh_dispatched_arm_is_bitwise_equal_to_the_scalar_port() {
+    let _guard = TierGuard::lock();
+    simd::force_tier(detected());
+    assert_tanh_arms_agree(&tanh_edge_inputs());
+    // A 2²⁰-point stride over every bit pattern.
+    let sample: Vec<f32> =
+        (0..1u64 << 20).map(|i| f32::from_bits((i << 12 | i >> 8) as u32)).collect();
+    assert_tanh_arms_agree(&sample);
+}
+
+/// All 2³² inputs; `cargo test --release -p explainti-nn -- --ignored`.
+#[test]
+#[ignore = "exhaustive: about 30 s in release on two cores"]
+fn tanh_dispatched_arm_is_bitwise_equal_to_the_scalar_port_exhaustively() {
+    let _guard = TierGuard::lock();
+    simd::force_tier(detected());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8) as u64;
+    let per = (1u64 << 32) / threads;
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || {
+                let mut xs = vec![0.0f32; 1 << 16];
+                for block in (t * per..(t + 1) * per).step_by(xs.len()) {
+                    for (i, x) in xs.iter_mut().enumerate() {
+                        *x = f32::from_bits((block + i as u64) as u32);
+                    }
+                    assert_tanh_arms_agree(&xs);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn gelu_forward_and_backward_arms_are_bitwise_equal_to_scalar() {
+    let _guard = TierGuard::lock();
+    simd::force_tier(detected());
+    for n in [0usize, 1, 7, 8, 9, 64, 2048 + 5] {
+        let xs: Vec<f32> = (0..n).map(|i| val(131, i) * 6.0).collect();
+        let gs: Vec<f32> = (0..n).map(|i| val(137, i)).collect();
+        let mut fwd = vec![0.0f32; n];
+        let mut bwd = vec![0.0f32; n];
+        simd::gelu_into(&xs, &mut fwd);
+        simd::gelu_grad_into(&xs, &gs, &mut bwd);
+        for i in 0..n {
+            assert_eq!(fwd[i].to_bits(), simd::gelu_scalar(xs[i]).to_bits(), "gelu n={n} i={i}");
+            let want = simd::gelu_grad_scalar(xs[i], gs[i]);
+            assert_eq!(bwd[i].to_bits(), want.to_bits(), "gelu grad n={n} i={i}");
+        }
+    }
+}

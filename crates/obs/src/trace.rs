@@ -308,8 +308,10 @@ impl RequestTrace {
 mod tests {
     use super::*;
 
+    /// One test, because reseeding is process-global: two tests that
+    /// each reseed race under the parallel test runner.
     #[test]
-    fn trace_ids_are_deterministic_per_seed() {
+    fn trace_ids_are_deterministic_per_seed_unique_and_hex_formatted() {
         set_trace_seed(42);
         let a: Vec<u64> = (0..8).map(|_| next_trace_id().as_u64()).collect();
         set_trace_seed(42);
@@ -318,10 +320,7 @@ mod tests {
         set_trace_seed(43);
         let c: Vec<u64> = (0..8).map(|_| next_trace_id().as_u64()).collect();
         assert_ne!(a, c);
-    }
 
-    #[test]
-    fn trace_ids_are_unique_and_hex_formatted() {
         set_trace_seed(7);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..10_000 {

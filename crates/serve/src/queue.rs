@@ -1,8 +1,8 @@
 //! Bounded MPMC request queue with micro-batch draining.
 //!
 //! Connection handlers push individual jobs; worker threads drain up to
-//! `max_batch` jobs per wake-up so downstream tokenization and encoder
-//! forwards amortise across requests. The queue is the backpressure
+//! `max_batch` jobs per wake-up, and one batch's columns share a pool
+//! split of the encoder forward. The queue is the backpressure
 //! point: a full queue rejects the push (the server maps that to HTTP
 //! 503) instead of buffering unboundedly.
 

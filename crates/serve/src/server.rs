@@ -8,8 +8,8 @@
 //! the route handlers — including blocking waits on prediction replies —
 //! and writes rendered bytes back through [`crate::conn::ResponseSink`].
 //! Cache misses land as [`Job`]s on the prediction [`BatchQueue`],
-//! drained in micro-batches by the **worker pool** running
-//! [`ExplainTi::predict_encoded_batch`] over one shared tape.
+//! drained in micro-batches by the **worker pool** running the tape-free
+//! [`ExplainTi::predict_encoded_batch`].
 //!
 //! The prediction queue remains the backpressure point (full queue →
 //! 503), every job carries a deadline so abandoned requests are dropped
